@@ -58,11 +58,13 @@ RATIO_METRICS: dict[str, list[str]] = {
     "BENCH_engine.json": ["speedup", "worker_speedup"],
     "BENCH_engine_process.json": ["speedup", "worker_speedup"],
     "BENCH_scenario_sweep.json": ["speedup"],
+    "BENCH_delta_kernel.json": ["sensitivity_speedup", "goal_inversion_speedup"],
 }
 
 #: Exact-match correctness metrics per bench file (dotted JSON paths).
 EQUALITY_METRICS: dict[str, list[str]] = {
     "BENCH_tree_kernels.json": ["bitwise_identical"],
+    "BENCH_delta_kernel.json": ["bitwise_identical"],
     "BENCH_engine.json": [
         "bitwise_equal",
         "coalescing.distinct_jobs",

@@ -6,7 +6,10 @@ drives :func:`repro.scenarios.bench.run_sweep_benchmark`: a three-axis
 percentage grid (12×11×10 = 1 320 scenarios) over the deal-closing drivers,
 scored once through the box-propagating grid kernel
 (:mod:`repro.scenarios.kernel`) and once as the seed-style Python loop of
-:func:`~repro.core.sensitivity.run_sensitivity` calls.
+per-scenario full forest traversals (what each
+:func:`~repro.core.sensitivity.run_sensitivity` call cost before delta
+evaluation).  Today's delta-evaluated ``run_sensitivity`` loop is timed too
+and reported as ``sensitivity_speedup``, without a floor.
 
 Two properties are pinned:
 
@@ -57,8 +60,10 @@ def test_sweep_speedup_bitwise_equality_and_artifact():
                 "scenarios": summary["n_scenarios"],
                 "rows": summary["rows"],
                 "loop_s": round(summary["loop_s"], 3),
+                "sensitivity_loop_s": round(summary["sensitivity_loop_s"], 3),
                 "batched_s": round(summary["batched_s"], 3),
                 "speedup": round(summary["speedup"], 2),
+                "sensitivity_speedup": round(summary["sensitivity_speedup"], 2),
                 "grid_kernel": summary["grid_kernel"],
                 "bitwise": summary["bitwise_equal"],
             }

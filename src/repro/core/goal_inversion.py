@@ -193,8 +193,8 @@ def invert_goal(
             dict(zip(chosen, (float(v) for v in point))), mode=mode
         )
         # the optimiser probes sequentially, so each candidate is a single
-        # matrix-level evaluation against the cached baseline matrix
-        return manager.predict_kpi_matrix(manager.perturbed_matrix(perturbations))
+        # delta evaluation against the cached baseline
+        return manager.predict_kpi_perturbed(perturbations)
 
     if goal == "maximize":
         objective = lambda point: -kpi_of(point)  # noqa: E731

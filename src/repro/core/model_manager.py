@@ -22,6 +22,7 @@ import numpy as np
 
 from ..frame import DataFrame
 from ..ml import (
+    ForestBaseline,
     LinearRegression,
     Pipeline,
     RandomForestClassifier,
@@ -77,6 +78,7 @@ class ModelManager:
         self.random_state = random_state
         self._model = None
         self._confidence: float | None = None
+        self._forest_baseline: ForestBaseline | None = None
         self._baseline_rows: np.ndarray | None = None
         self._baseline_kpi: float | None = None
         self._driver_matrix: np.ndarray | None = None
@@ -125,6 +127,8 @@ class ModelManager:
         y = self.kpi.target_vector(self.frame)
         self._model = self._build_model()
         self._model.fit(X, y)
+        # baselines hold the previous model's predictions and leaf ids
+        self._forest_baseline = self._baseline_rows = self._baseline_kpi = None
         return self
 
     @property
@@ -164,31 +168,60 @@ class ModelManager:
         """Memoised ``float64`` design matrix of the session's dataset.
 
         The what-if hot path perturbs this matrix directly (see
-        :meth:`perturbed_matrix`) instead of copying frames, so it is
+        :meth:`predict_rows_perturbed`) instead of copying frames, so it is
         extracted once per manager.
         """
         if self._driver_matrix is None:
             self._driver_matrix = self.frame.to_matrix(self.drivers)
         return self._driver_matrix
 
-    def perturbed_matrix(self, perturbations) -> np.ndarray:
-        """The baseline driver matrix with ``perturbations`` applied."""
-        return perturbations.apply_to_matrix(self.driver_matrix(), self.drivers)
+    def forest_baseline(self) -> ForestBaseline | None:
+        """Memoised leaf ids of the unperturbed dataset (forest models only).
 
-    def predict_rows_matrix(self, X: np.ndarray) -> np.ndarray:
+        Every what-if on this manager perturbs a few columns of the same
+        driver matrix, so the forest kernel re-traverses only the pairs the
+        perturbation moves out of these baseline leaves.
+        """
+        # _build_model fits no other forest type
+        forest = isinstance(self.model, RandomForestClassifier)
+        if self._forest_baseline is None and forest:
+            self._forest_baseline = self.model.kernel_.baseline(self.driver_matrix())
+        return self._forest_baseline
+
+    def predict_rows_matrix(
+        self, X: np.ndarray, *, base: ForestBaseline | None = None
+    ) -> np.ndarray:
         """Per-row predictions for an already-extracted design matrix.
 
         Discrete KPIs return positive-class probabilities; continuous KPIs
-        return predicted values.
+        return predicted values.  ``base`` (a forest baseline of a matrix of
+        ``X``'s shape) lets the forest kernel delta-evaluate ``X``; the
+        predictions are bitwise identical either way.
         """
         model = self.model
+        extra = {} if base is None else {"base": base}
         if self.kpi.is_discrete:
-            proba = model.predict_proba(X)
+            proba = model.predict_proba(X, **extra)
             classes = list(model.classes_)
             positive = 1.0
             column = classes.index(positive) if positive in classes else len(classes) - 1
             return proba[:, column]
-        return model.predict(X)
+        return model.predict(X, **extra)
+
+    def predict_rows_perturbed(
+        self, perturbations, start: int = 0, stop: int | None = None
+    ) -> np.ndarray:
+        """Per-row predictions of rows ``[start, stop)`` of the dataset with
+        ``perturbations`` applied, delta-evaluated against the baseline."""
+        X = perturbations.apply_to_matrix(self.driver_matrix()[start:stop], self.drivers)
+        base = self.forest_baseline()
+        if base is not None:
+            base = base.rows(start, start + X.shape[0])
+        return self.predict_rows_matrix(X, base=base)
+
+    def predict_kpi_perturbed(self, perturbations) -> float:
+        """Aggregate KPI predicted for the dataset with ``perturbations`` applied."""
+        return self.kpi.aggregate(self.predict_rows_perturbed(perturbations))
 
     def predict_rows(self, frame: DataFrame) -> np.ndarray:
         """Per-row predictions for the driver columns of ``frame``."""
@@ -197,10 +230,6 @@ class ModelManager:
     def predict_kpi(self, frame: DataFrame) -> float:
         """Aggregate KPI value predicted for ``frame``."""
         return self.kpi.aggregate(self.predict_rows(frame))
-
-    def predict_kpi_matrix(self, X: np.ndarray) -> float:
-        """Aggregate KPI value predicted for a design matrix."""
-        return self.kpi.aggregate(self.predict_rows_matrix(X))
 
     def predict_kpi_batch(self, matrices: list[np.ndarray]) -> np.ndarray:
         """Aggregate KPI for many perturbed matrices in one model call.
@@ -233,7 +262,9 @@ class ModelManager:
         when it does), so predicting it once is enough.
         """
         if self._baseline_rows is None:
-            self._baseline_rows = self.predict_rows_matrix(self.driver_matrix())
+            self._baseline_rows = self.predict_rows_matrix(
+                self.driver_matrix(), base=self.forest_baseline()
+            )
         return self._baseline_rows
 
     def baseline_kpi(self) -> float:

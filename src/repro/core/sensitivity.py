@@ -62,27 +62,28 @@ def split_ranges(total: int, parts: int) -> list[tuple[int, int]]:
 
 def _predict_kpi_chunked(
     manager: ModelManager,
-    matrix: np.ndarray,
+    perturbations: PerturbationSet,
     checkpoint: Callable[[float], None],
     *,
     chunk_rows: int | None = None,
     emit: Callable[..., None] | None = None,
 ) -> float:
-    """Aggregate KPI of ``matrix`` predicted in row chunks.
+    """Aggregate KPI of the perturbed dataset predicted in row chunks.
 
-    Per-row predictions are independent, so concatenating chunk predictions
-    reproduces the whole-matrix prediction bitwise; the KPI aggregation then
-    sees the identical array.  With ``emit``, every chunk publishes a
+    Perturbations are elementwise per row and per-row predictions are
+    independent, so concatenating chunk predictions reproduces the
+    whole-matrix prediction bitwise; the KPI aggregation then sees the
+    identical array.  With ``emit``, every chunk publishes a
     ``sensitivity_chunk`` event carrying the rows scored so far and the
     partial KPI over that prefix — streaming clients watch the estimate
     converge to the exact final value.
     """
     if chunk_rows is None:  # read at call time so tests can shrink the chunks
         chunk_rows = SENSITIVITY_CHUNK_ROWS
-    n_rows = matrix.shape[0]
+    n_rows = manager.driver_matrix().shape[0]
     parts = []
     for start in range(0, n_rows, chunk_rows):
-        parts.append(manager.predict_rows_matrix(matrix[start : start + chunk_rows]))
+        parts.append(manager.predict_rows_perturbed(perturbations, start, start + chunk_rows))
         checkpoint(min(1.0, (start + chunk_rows) / n_rows))
         if emit is not None:
             emit(
@@ -211,12 +212,10 @@ def run_sensitivity(
             manager, perturbations, executor, checkpoint, emit
         )
     elif checkpoint is None:
-        perturbed_kpi = manager.predict_kpi_matrix(manager.perturbed_matrix(perturbations))
+        perturbed_kpi = manager.predict_kpi_perturbed(perturbations)
     else:
         checkpoint(0.0)
-        perturbed_kpi = _predict_kpi_chunked(
-            manager, manager.perturbed_matrix(perturbations), checkpoint, emit=emit
-        )
+        perturbed_kpi = _predict_kpi_chunked(manager, perturbations, checkpoint, emit=emit)
     return SensitivityResult(
         kpi=manager.kpi.name,
         original_kpi=original_kpi,

@@ -9,9 +9,15 @@ persistent pool of ``spawn``-ed worker processes instead:
 * **Fingerprint-keyed model shipping.**  Each worker holds a per-process
   mirror of the parent's model cache keyed by
   :meth:`ModelManager.fingerprint`.  The fitted manager (model, kernel
-  arrays, memoised matrices) is pickled onto a worker's task queue only the
-  first time that (worker, fingerprint) pair meets; every later unit for the
-  same fingerprint reuses the hydrated mirror — never re-pickled per chunk.
+  arrays, memoised matrices) is shipped to a worker only the first time that
+  (worker, fingerprint) pair meets; every later unit for the same fingerprint
+  reuses the hydrated mirror — never re-pickled per chunk.  A ship is pickled
+  once, by the submitting thread under a process-wide lock, and the same
+  bytes go to every worker that needs them.  Leaving the pickling to the
+  queues' feeder threads would let two of them pickle one live object graph
+  at once, and CPython 3.11 does not survive that: both threads can
+  materialise the same instance ``__dict__`` from its inline attribute
+  values, and the two dicts then free one set of values twice.
 * **Cooperative cancellation.**  Every in-flight ``run_units`` group owns a
   slot in a shared ``RawArray`` of cancel flags (inherited by workers at
   spawn; shared ctypes cannot travel through queues).  The parent flips the
@@ -39,6 +45,8 @@ from __future__ import annotations
 
 import itertools
 import multiprocessing
+import os
+import pickle
 import queue
 import threading
 import time
@@ -60,6 +68,12 @@ _START_METHOD = "spawn"
 #: Minimum per-unit progress delta a worker posts (keeps the queue quiet).
 _PROGRESS_DELTA = 0.01
 
+#: Seconds an idle worker waits for a task before checking its parent lives.
+_PARENT_POLL_S = 0.5
+
+#: Serialises every ship's pickling (see "Fingerprint-keyed model shipping").
+_SHIP_PICKLE_LOCK = threading.Lock()
+
 _WORKER_UNITS = metrics.counter("repro_worker_units_total")
 _WORKER_SHIPS = metrics.counter("repro_worker_model_ships_total")
 
@@ -77,12 +91,25 @@ def _worker_main(worker_index, task_queue, result_queue, cancel_flags):
     unit runs re-rooted on the shipped trace context; its finished span
     records travel back as one ``("spans", ...)`` message posted just before
     the unit's terminal message, so the parent's timeline is complete by the
-    time the group's last result lands.
+    time the group's last result lands.  Before every task, and at least
+    every ``_PARENT_POLL_S`` while idle, the worker checks that its parent
+    lives (a re-parented worker sees ``getppid`` change); once it is gone the
+    worker drops the messages nobody will read and exits, instead of running
+    the rest of the queue or waiting for tasks forever.
     """
+    parent = os.getppid()
     models: dict[str, Any] = {}
     result_queue.put(("ready", worker_index, None, None, None))
     while True:
-        task = task_queue.get()
+        if os.getppid() != parent:
+            # this process holds the pipe's read end too, so a full pipe would
+            # block the feeder thread's join at exit forever
+            result_queue.cancel_join_thread()
+            break
+        try:
+            task = task_queue.get(timeout=_PARENT_POLL_S)
+        except queue.Empty:
+            continue
         if task is None:
             break
         group_id, unit_index, slot, fingerprint, kind, payload, shipped, ctx = task
@@ -94,7 +121,7 @@ def _worker_main(worker_index, task_queue, result_queue, cancel_flags):
                 with trace.span("unit", worker=worker_index, unit=unit_index):
                     if shipped is not None:
                         with trace.span("ship", fingerprint=fingerprint[:12]):
-                            models[fingerprint] = shipped
+                            models[fingerprint] = pickle.loads(shipped)
                     manager = models.get(fingerprint)
                     if manager is None:
                         raise RuntimeError(
@@ -316,10 +343,14 @@ class ProcessExecutor:
             # Enqueue under the lock: mp.Queue.put only hands off to the
             # feeder thread, and this keeps (incarnation, shipped, queue)
             # consistent against a concurrent worker respawn.
+            shipment = None
             for unit_index, (kind, payload) in enumerate(units):
                 worker_index = unit_index % self.workers
                 ship = fingerprint not in self._shipped[worker_index]
                 if ship:
+                    if shipment is None:
+                        with _SHIP_PICKLE_LOCK:
+                            shipment = pickle.dumps(manager, pickle.HIGHEST_PROTOCOL)
                     self._shipped[worker_index].add(fingerprint)
                     self._ships[worker_index] += 1
                     _WORKER_SHIPS.labels(worker_index).inc()
@@ -336,7 +367,7 @@ class ProcessExecutor:
                         fingerprint,
                         kind,
                         payload,
-                        manager if ship else None,
+                        shipment if ship else None,
                         trace_ctx,
                     )
                 )

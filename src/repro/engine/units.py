@@ -55,14 +55,12 @@ def _unit_sensitivity_rows(
     perturbations = PerturbationSet.from_list(payload["perturbations"])
     start, stop = int(payload["start"]), int(payload["stop"])
     chunk_rows = int(payload.get("chunk_rows") or SENSITIVITY_CHUNK_ROWS)
-    matrix = perturbations.apply_to_matrix(
-        manager.driver_matrix()[start:stop], manager.drivers
-    )
-    n_rows = matrix.shape[0]
+    n_rows = stop - start
     parts = []
-    for offset in range(0, n_rows, chunk_rows):
-        parts.append(manager.predict_rows_matrix(matrix[offset : offset + chunk_rows]))
-        checkpoint(min(1.0, (offset + chunk_rows) / max(1, n_rows)))
+    for offset in range(start, stop, chunk_rows):
+        end = min(stop, offset + chunk_rows)
+        parts.append(manager.predict_rows_perturbed(perturbations, offset, end))
+        checkpoint(min(1.0, (end - start) / max(1, n_rows)))
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 

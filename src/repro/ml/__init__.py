@@ -19,7 +19,7 @@ from .base import (
     clone,
 )
 from .forest import RandomForestClassifier, RandomForestRegressor
-from .kernel import ForestKernel, TreeKernel
+from .kernel import ForestBaseline, ForestKernel, TreeKernel
 from .linear import LinearRegression, Ridge
 from .logistic import LogisticRegression
 from .metrics import (
@@ -61,6 +61,7 @@ __all__ = [
     "RandomForestRegressor",
     "TreeKernel",
     "ForestKernel",
+    "ForestBaseline",
     "Pipeline",
     "StandardScaler",
     "MinMaxScaler",

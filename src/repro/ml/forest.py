@@ -20,7 +20,7 @@ from .base import (
     check_is_fitted,
     check_X_y,
 )
-from .kernel import ForestKernel
+from .kernel import ForestBaseline, ForestKernel
 from .tree import DecisionTreeClassifier, DecisionTreeRegressor
 
 __all__ = ["RandomForestClassifier", "RandomForestRegressor"]
@@ -153,11 +153,12 @@ class RandomForestClassifier(_BaseForest, ClassifierMixin):
         predictions = self.classes_[np.argmax(votes[seen], axis=1)]
         return float(np.mean(predictions == y[seen]))
 
-    def predict_proba(self, X) -> np.ndarray:
-        """Averaged class probabilities across trees (kernel-batched)."""
+    def predict_proba(self, X, *, base: ForestBaseline | None = None) -> np.ndarray:
+        """Averaged class probabilities across trees (kernel-batched); ``base``
+        delta-evaluates ``X`` (see :meth:`ForestKernel.predict_proba`)."""
         check_is_fitted(self, "feature_importances_")
         X = check_array(X, allow_1d=True)
-        return self.kernel_.predict_proba(X)
+        return self.kernel_.predict_proba(X, base=base)
 
     def _predict_proba_recursive(self, X: np.ndarray) -> np.ndarray:
         """Pre-kernel prediction path (per-row tree walks); benchmarks only."""
@@ -250,11 +251,12 @@ class RandomForestRegressor(_BaseForest, RegressorMixin):
             return float("nan")
         return r2_score(y[seen], sums[seen] / counts[seen])
 
-    def predict(self, X) -> np.ndarray:
-        """Mean prediction across trees (kernel-batched)."""
+    def predict(self, X, *, base: ForestBaseline | None = None) -> np.ndarray:
+        """Mean prediction across trees (kernel-batched); ``base`` delta-evaluates
+        ``X`` (see :meth:`ForestKernel.predict`)."""
         check_is_fitted(self, "feature_importances_")
         X = check_array(X, allow_1d=True)
-        return self.kernel_.predict(X)
+        return self.kernel_.predict(X, base=base)
 
     def _predict_recursive(self, X: np.ndarray) -> np.ndarray:
         """Pre-kernel prediction path (per-row tree walks); benchmarks only."""

@@ -19,6 +19,27 @@ predictions are bitwise identical to the per-row traversal.
 
 :class:`ForestKernel` stacks per-tree kernel outputs (with the tree-to-forest
 class alignment precomputed once) so forest prediction never loops over rows.
+
+Delta evaluation
+----------------
+A what-if re-scores the baseline matrix with a few columns rewritten, and most
+``(tree, row)`` pairs land in the same leaf as before.  Every node has a
+feature *box*: ``lo[j]`` is the largest threshold among its ancestors that
+turn right on feature ``j`` and ``hi[j]`` the smallest among those that turn
+left (``-inf``/``+inf`` when no ancestor tests ``j``).  Because each split
+sends ``x[j] <= threshold`` left and everything else right, a row reaches a
+leaf exactly when ``lo[j] < x[j] <= hi[j]`` holds for every feature ``j`` —
+the box is the conjunction of the comparisons on the root-to-leaf path,
+evaluated with the same ``<=`` on the same floats.  Unchanged columns of a
+baseline row satisfy their bounds already (the row reached that leaf).  Given
+a :class:`ForestBaseline` (the baseline matrix and the leaf of every pair),
+:meth:`ForestKernel.predict_proba` / :meth:`ForestKernel.predict` therefore
+keep the baseline leaf of every pair whose changed columns still fall inside
+the leaf's box and re-traverse only the rest from the root.  Both decisions
+reproduce the full traversal's leaf id exactly, so the gathered payloads and
+the ensemble-order aggregation — and hence every output bit — are those of
+:meth:`ForestKernel._leaf_values`, which stays the reference path and the
+path for matrices without a baseline.
 """
 
 from __future__ import annotations
@@ -27,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["TreeKernel", "ForestKernel"]
+__all__ = ["TreeKernel", "ForestKernel", "ForestBaseline"]
 
 
 @dataclass(frozen=True)
@@ -126,6 +147,27 @@ class TreeKernel:
         return self.value[self.apply(X)]
 
 
+@dataclass(frozen=True)
+class ForestBaseline:
+    """A scored baseline matrix: the input to delta evaluation.
+
+    Attributes
+    ----------
+    matrix:
+        The baseline design matrix, shape ``(n_rows, n_features)``.
+    leaves:
+        Forest-wide leaf node id reached by every pair, shape
+        ``(n_trees, n_rows)``.
+    """
+
+    matrix: np.ndarray
+    leaves: np.ndarray
+
+    def rows(self, start: int, stop: int) -> "ForestBaseline":
+        """The baseline of rows ``[start, stop)`` (views, no copies)."""
+        return ForestBaseline(self.matrix[start:stop], self.leaves[:, start:stop])
+
+
 class ForestKernel:
     """All trees of an ensemble stacked into one set of node arrays.
 
@@ -190,6 +232,7 @@ class ForestKernel:
         self._nav_threshold = np.where(leaf, np.inf, self.threshold)
         self._nav_left = np.where(leaf, node_ids, self.left)
         self._nav_right = np.where(leaf, node_ids, self.right)
+        self._boxes: tuple[np.ndarray, np.ndarray] | None = None
 
     @classmethod
     def from_classifier(cls, forest) -> "ForestKernel":
@@ -205,24 +248,99 @@ class ForestKernel:
         """Compile a fitted :class:`RandomForestRegressor`."""
         return cls([tree.kernel_ for tree in forest.estimators_], None, 1)
 
-    def _leaf_values(self, X: np.ndarray) -> np.ndarray:
-        """Leaf payloads per (tree, row), shape ``(n_trees, n_rows, n_outputs)``.
+    def _descend(self, flat: np.ndarray, offsets: np.ndarray, index: np.ndarray) -> np.ndarray:
+        """Leaf ids reached from nodes ``index`` by the rows starting at
+        ``offsets`` of the raveled matrix ``flat``.
 
-        ``X`` must be finite (guaranteed by ``check_array``): the self-loop
+        ``flat`` must be finite (guaranteed by ``check_array``): the self-loop
         rewrite relies on ``x <= +inf`` holding for every feature value.
         """
-        n_rows = X.shape[0]
-        flat = np.ascontiguousarray(X).ravel()
-        base = np.tile(np.arange(n_rows, dtype=np.intp) * X.shape[1], self.n_trees)
-        index = np.repeat(self.roots, n_rows)
         for _ in range(self.max_depth):
-            go_left = flat[base + self._nav_feature[index]] <= self._nav_threshold[index]
+            go_left = flat[offsets + self._nav_feature[index]] <= self._nav_threshold[index]
             index = np.where(go_left, self._nav_left[index], self._nav_right[index])
-        return self.value[index].reshape(self.n_trees, n_rows, self.n_outputs)
+        return index
 
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        """Tree-averaged class probabilities, shape ``(n_rows, n_classes)``."""
-        values = self._leaf_values(X)
+    def _leaf_ids(self, X: np.ndarray) -> np.ndarray:
+        """Leaf id per (tree, row), shape ``(n_trees, n_rows)``."""
+        n_rows = X.shape[0]
+        offsets = np.tile(np.arange(n_rows, dtype=np.intp) * X.shape[1], self.n_trees)
+        index = np.repeat(self.roots, n_rows)
+        leaves = self._descend(np.ascontiguousarray(X).ravel(), offsets, index)
+        return leaves.reshape(self.n_trees, n_rows)
+
+    def _leaf_values(self, X: np.ndarray) -> np.ndarray:
+        """Leaf payloads per (tree, row), shape ``(n_trees, n_rows, n_outputs)``."""
+        return self.value[self._leaf_ids(X)]
+
+    def baseline(self, X: np.ndarray) -> ForestBaseline:
+        """Score ``X`` once so later perturbations of it can be delta-evaluated
+        (``X`` is kept by reference and must not change)."""
+        return ForestBaseline(X, self._leaf_ids(X))
+
+    def boxes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-node feature boxes ``(lo, hi)``, each ``(n_features, n_nodes)``.
+
+        Built once, level by level from the roots: a child copies its parent's
+        box and tightens the split feature's bound by the parent's threshold.
+        """
+        if self._boxes is None:
+            shape = (int(self.feature.max()) + 1, self.feature.shape[0])
+            lo, hi = np.full(shape, -np.inf), np.full(shape, np.inf)
+            level = self.roots
+            while level.size:
+                parents = level[self.feature[level] >= 0]
+                split, cut = self.feature[parents], self.threshold[parents]
+                left, right = self.left[parents], self.right[parents]
+                level = np.concatenate([left, right])
+                lo[:, level] = np.tile(lo[:, parents], 2)
+                hi[:, level] = np.tile(hi[:, parents], 2)
+                hi[split, left] = np.minimum(hi[split, parents], cut)
+                lo[split, right] = np.maximum(lo[split, parents], cut)
+            self._boxes = (lo, hi)
+        return self._boxes
+
+    def _delta_leaf_ids(self, X: np.ndarray, base: ForestBaseline) -> np.ndarray:
+        """``_leaf_ids(X)``, re-traversing only the pairs whose baseline leaf
+        box excludes a changed column of ``X``."""
+        if X.shape != base.matrix.shape or base.leaves.shape != (self.n_trees, X.shape[0]):
+            raise ValueError(
+                f"matrix of shape {X.shape} does not match its baseline of shape "
+                f"{base.matrix.shape} over {base.leaves.shape[0]} trees"
+            )
+        leaves = base.leaves
+        changed = np.flatnonzero((X != base.matrix).any(axis=0))
+        if changed.size:
+            lo, hi = self.boxes()
+            moved = np.zeros(leaves.shape, dtype=bool)
+            for j in changed[changed < lo.shape[0]]:  # no split tests a later column
+                column = X[:, j]
+                moved |= column <= lo[j].take(leaves)
+                moved |= column > hi[j].take(leaves)
+            pairs = np.flatnonzero(moved)  # tree-major: pair = tree * n_rows + row
+            if pairs.size:
+                n_rows, n_features = X.shape
+                found = self._descend(
+                    np.ascontiguousarray(X).ravel(),
+                    pairs % n_rows * n_features,
+                    self.roots[pairs // n_rows],
+                )
+                leaves = leaves.copy()
+                leaves.reshape(-1)[pairs] = found
+        return leaves
+
+    def _values(self, X: np.ndarray, base: ForestBaseline | None) -> np.ndarray:
+        if base is None:
+            return self._leaf_values(X)
+        return np.take(self.value, self._delta_leaf_ids(X, base), axis=0)
+
+    def predict_proba(self, X: np.ndarray, *, base: ForestBaseline | None = None) -> np.ndarray:
+        """Tree-averaged class probabilities, shape ``(n_rows, n_classes)``.
+
+        With ``base`` (a :meth:`baseline` of a matrix of ``X``'s shape), only
+        the pairs a changed column moves out of their baseline leaf are
+        re-traversed; the result is bitwise identical either way.
+        """
+        values = self._values(X, base)
         # accumulate per tree in ensemble order so rounding matches the
         # historical sequential aggregation bit for bit
         aggregate = np.zeros((X.shape[0], self.n_outputs))
@@ -230,9 +348,10 @@ class ForestKernel:
             aggregate += values[tree_index]
         return aggregate / self.n_trees
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        """Tree-averaged regression prediction, shape ``(n_rows,)``."""
-        values = self._leaf_values(X)
+    def predict(self, X: np.ndarray, *, base: ForestBaseline | None = None) -> np.ndarray:
+        """Tree-averaged regression prediction, shape ``(n_rows,)``; ``base``
+        as for :meth:`predict_proba`."""
+        values = self._values(X, base)
         predictions = np.zeros(X.shape[0])
         for tree_index in range(self.n_trees):
             predictions += values[tree_index, :, 0]

@@ -4,12 +4,14 @@ The workload answers the question the sweep planner exists for: how much
 faster is scoring a whole scenario space in batched matrix form than the
 seed's only alternative — a Python loop of per-scenario sensitivity calls?
 
-Both paths evaluate the *identical* list of scenarios against the same
+All paths evaluate the *identical* list of scenarios against the same
 trained model:
 
-* **looped** — one :func:`~repro.core.sensitivity.run_sensitivity` call per
-  scenario (perturb, predict, aggregate, wrap a result object — the cost a
-  user pays today for each hand-built option);
+* **looped** — one full forest traversal per scenario (perturb, predict,
+  aggregate — the seed's per-scenario sensitivity call);
+* **sensitivity-looped** — one :func:`~repro.core.sensitivity.run_sensitivity`
+  call per scenario, which delta-evaluates each scenario against the cached
+  baseline leaves (the cost a user pays today for each hand-built option);
 * **batched** — one :func:`~repro.scenarios.planner.run_sweep` call that
   scores the whole grid through the box-propagating grid kernel
   (:mod:`repro.scenarios.kernel`) — one traversal per tree for the entire
@@ -17,8 +19,10 @@ trained model:
 
 The KPI values must match **bitwise** (the grid kernel takes identical
 decisions and gathers identical leaf payloads, only batched differently), so
-the summary's ``speedup`` is a pure batching win.  Callers assert a floor on
-it and write the summary to ``BENCH_scenario_sweep.json``.
+the summary's ``speedup`` (looped over batched) is a pure batching win.
+Callers assert a floor on it and write the summary to
+``BENCH_scenario_sweep.json``; ``sensitivity_speedup`` (sensitivity-looped
+over batched) is what sweeping saves over today's per-scenario calls.
 """
 
 from __future__ import annotations
@@ -63,10 +67,10 @@ def run_sweep_benchmark(
     top_k: int = 10,
     seed: int = 0,
 ) -> dict[str, Any]:
-    """Time batched sweep vs per-scenario sensitivity loop; return a summary.
+    """Time batched sweep vs per-scenario loops; return a summary.
 
-    Raises ``RuntimeError`` if the two paths' KPI values are not bitwise
-    identical, so callers can trust the speedup number.
+    Raises ``RuntimeError`` if the paths' KPI values are not bitwise
+    identical, so callers can trust the speedup numbers.
     """
     session = WhatIfSession.from_use_case(
         use_case,
@@ -87,14 +91,26 @@ def run_sweep_benchmark(
     result = run_sweep(manager, space, top_k=top_k)
     batched_s = time.perf_counter() - started
 
+    baseline_matrix = manager.driver_matrix()
     started = time.perf_counter()
     looped = [
-        run_sensitivity(manager, space.perturbations(scenario)).perturbed_kpi
+        manager.kpi.aggregate(
+            manager.predict_rows_matrix(
+                space.perturbations(scenario).apply_to_matrix(baseline_matrix, manager.drivers)
+            )
+        )
         for scenario in scenarios
     ]
     loop_s = time.perf_counter() - started
 
-    bitwise_equal = looped == list(result.kpi_values)
+    started = time.perf_counter()
+    sensitivity_looped = [
+        run_sensitivity(manager, space.perturbations(scenario)).perturbed_kpi
+        for scenario in scenarios
+    ]
+    sensitivity_loop_s = time.perf_counter() - started
+
+    bitwise_equal = looped == sensitivity_looped == list(result.kpi_values)
     if not bitwise_equal:
         raise RuntimeError(
             "batched sweep KPI values diverged from the per-scenario "
@@ -107,8 +123,12 @@ def run_sweep_benchmark(
         "levels": list(levels),
         "n_scenarios": len(scenarios),
         "loop_s": loop_s,
+        "sensitivity_loop_s": sensitivity_loop_s,
         "batched_s": batched_s,
         "speedup": loop_s / batched_s if batched_s else float("inf"),
+        "sensitivity_speedup": (
+            sensitivity_loop_s / batched_s if batched_s else float("inf")
+        ),
         "bitwise_equal": bitwise_equal,
         "grid_kernel": grid_kernel_applies(manager, space),
         "baseline_kpi": result.baseline_kpi,

@@ -28,7 +28,7 @@ rebuilds the dense leaf-id surface, the ids gather the very leaf payload
 floats the per-scenario traversal would read, and trees accumulate in
 ensemble order.  Every ``(scenario, row)`` prediction — and every KPI
 aggregated from them — therefore matches
-:meth:`~repro.core.model_manager.ModelManager.predict_kpi_matrix` bit for
+:meth:`~repro.core.model_manager.ModelManager.predict_kpi_perturbed` bit for
 bit.  The planner falls back to chunked
 :meth:`~repro.core.model_manager.ModelManager.predict_kpi_batch` whenever the
 kernel does not apply (non-forest models, sampled or constrained spaces); the

@@ -12,7 +12,9 @@ here depends on winning a timing race.
 from __future__ import annotations
 
 import os
+import pickle
 import signal
+import threading
 import time
 
 import numpy as np
@@ -75,6 +77,27 @@ class TestExecution:
         shipped_before = pool.stats()["models_shipped_total"]
         pool.run_units(manager, sensitivity_units(manager))
         assert pool.stats()["models_shipped_total"] == shipped_before
+
+    def test_ship_is_pickled_once_by_the_submitting_thread(self, manager, monkeypatch):
+        """Every worker receives the bytes of one pickle made by the caller:
+        queue feeder threads pickling one live manager at once corrupt it."""
+        calls = []
+        real_dumps = pickle.dumps
+
+        def dumps(obj, *args, **kwargs):
+            calls.append((type(obj).__name__, threading.current_thread()))
+            return real_dumps(obj, *args, **kwargs)
+
+        monkeypatch.setattr(pickle, "dumps", dumps)
+        executor = ProcessExecutor(workers=2, name="repro-test-ship")
+        try:
+            first = executor.run_units(manager, sensitivity_units(manager))
+            second = executor.run_units(manager, sensitivity_units(manager))
+            assert all(map(np.array_equal, first, second))
+            assert executor.stats()["models_shipped_total"] == 2
+        finally:
+            executor.shutdown(wait=True)
+        assert calls == [("ModelManager", threading.current_thread())]
 
     def test_empty_units_returns_empty(self, pool, manager):
         assert pool.run_units(manager, []) == []

@@ -32,6 +32,7 @@ import pytest
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 READY_TIMEOUT_S = 90.0
+GROUP_EXIT_TIMEOUT_S = 10.0
 DRIVER = "Open Marketing Email"
 
 pytestmark = pytest.mark.parametrize("executor", ["thread", "process"])
@@ -66,14 +67,15 @@ class ServerProc:
         ).rstrip(os.pathsep)
         # own process group: the kill must take out the engine's spawned
         # process-pool workers too — they inherit the stdout pipe, and a
-        # surviving worker would block the EOF drain below forever
+        # surviving worker would block the EOF drain below forever.  The pipe
+        # is unbuffered bytes so nothing read ahead hides from the raw drain.
         self.proc = subprocess.Popen(
             argv,
             cwd=REPO_ROOT,
             env=env,
             stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT,
-            text=True,
+            bufsize=0,
             start_new_session=True,
         )
         self.lines: list[str] = []
@@ -82,7 +84,7 @@ class ServerProc:
     def _await_ready(self) -> str:
         deadline = time.monotonic() + READY_TIMEOUT_S
         while time.monotonic() < deadline:
-            line = self.proc.stdout.readline()
+            line = self.proc.stdout.readline().decode("utf-8", "replace")
             if not line:
                 if self.proc.poll() is not None:
                     raise RuntimeError(
@@ -142,20 +144,37 @@ class ServerProc:
         except ProcessLookupError:
             pass
 
+    def await_group_exit(self) -> bool:
+        """Poll until no member of the server's process group is left (the
+        kill reaches spawned pool workers asynchronously); False on timeout."""
+        deadline = time.monotonic() + GROUP_EXIT_TIMEOUT_S
+        while time.monotonic() < deadline:
+            try:
+                os.killpg(self.proc.pid, 0)
+            except ProcessLookupError:
+                return True
+            time.sleep(0.05)
+        return False
+
     def _drain_stdout(self) -> None:
         stdout = self.proc.stdout
         if stdout is None:
             return
-        # non-blocking: every group member is dead, but never risk hanging on
-        # a pipe some straggler still holds
-        os.set_blocking(stdout.fileno(), False)
+        self.await_group_exit()
+        # the raw fd, non-blocking: once the group is gone the pipe holds the
+        # rest of the output and then EOF, but never risk hanging on a pipe
+        # some straggler still holds
+        fd = stdout.fileno()
+        os.set_blocking(fd, False)
+        chunks = []
         try:
-            rest = stdout.read()
-            if rest:
-                self.lines.extend(rest.splitlines(keepends=True))
-        except (OSError, ValueError):
+            while chunk := os.read(fd, 65536):
+                chunks.append(chunk)
+        except BlockingIOError:
             pass
         stdout.close()
+        rest = b"".join(chunks).decode("utf-8", "replace")
+        self.lines.extend(rest.splitlines(keepends=True))
 
 
 @pytest.fixture
@@ -225,31 +244,36 @@ def populate(server: ServerProc, sid: str) -> dict:
     }
 
 
+def start_sweep(server: ServerProc, sid: str) -> str:
+    """Submit a sweep large enough that a kill always beats its completion;
+    return its job id."""
+    status, inflight = server.post(
+        "/",
+        {
+            "action": "sweep",
+            "session_id": sid,
+            "params": {
+                "space": {
+                    "axes": [
+                        {"driver": DRIVER, "start": -40, "stop": 40, "step": 1},
+                        {"driver": "Call", "start": -40, "stop": 40, "step": 1},
+                    ]
+                }
+            },
+        },
+    )
+    assert status == 200 and inflight["ok"], inflight
+    return inflight["data"]["job"]["job_id"]
+
+
 class TestSigkillRecovery:
     def test_state_survives_sigkill_bitwise(self, state_dir, executor):
         first = ServerProc(state_dir, executor=executor)
         try:
             sid = "s-crash"
             before = populate(first, sid)
-            # leave a sweep in flight so the crash interrupts a real job; the
-            # space is large enough that the kill always beats its completion
-            status, inflight = first.post(
-                "/",
-                {
-                    "action": "sweep",
-                    "session_id": sid,
-                    "params": {
-                        "space": {
-                            "axes": [
-                                {"driver": DRIVER, "start": -40, "stop": 40, "step": 1},
-                                {"driver": "Call", "start": -40, "stop": 40, "step": 1},
-                            ]
-                        }
-                    },
-                },
-            )
-            assert status == 200 and inflight["ok"], inflight
-            inflight_id = inflight["data"]["job"]["job_id"]
+            # leave a sweep in flight so the crash interrupts a real job
+            inflight_id = start_sweep(first, sid)
             first.sigkill()
         finally:
             first.stop()
@@ -310,3 +334,39 @@ class TestSigkillRecovery:
             assert scenarios["data"] == before["scenarios"]
         finally:
             second.stop()
+
+
+class TestParentDeath:
+    def test_leader_sigkill_leaves_no_group_member(self, state_dir, executor):
+        """Killing only the serving process (not its group) must not orphan
+        the process pool's workers: they notice the parent died and exit."""
+        server = ServerProc(state_dir, executor=executor)
+        try:
+            populate(server, "s-orphan")  # its job starts the process pool
+            os.kill(server.proc.pid, signal.SIGKILL)
+            server.proc.wait(timeout=30)
+            assert server.await_group_exit(), "a group member outlived the leader"
+        finally:
+            server.stop()
+
+    def test_leader_sigkill_mid_job_leaves_no_group_member(self, state_dir, executor):
+        """Workers busy with a job when the leader dies must neither finish
+        the queued units nor hang on results nobody will read."""
+        server = ServerProc(state_dir, executor=executor)
+        try:
+            sid = "s-orphan-busy"
+            populate(server, sid)
+            job_id = start_sweep(server, sid)
+            deadline = time.monotonic() + 30
+            while time.monotonic() < deadline:
+                status, polled = server.get(f"/api/v1/sessions/{sid}/jobs/{job_id}")
+                assert status == 200, polled
+                if polled["data"]["job"]["state"] == "running":
+                    break
+                time.sleep(0.02)
+            assert polled["data"]["job"]["state"] == "running", polled
+            os.kill(server.proc.pid, signal.SIGKILL)
+            server.proc.wait(timeout=30)
+            assert server.await_group_exit(), "a group member outlived the leader"
+        finally:
+            server.stop()
