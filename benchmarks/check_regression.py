@@ -57,7 +57,7 @@ RATIO_METRICS: dict[str, list[str]] = {
     "BENCH_frame_ops.json": ["groupby_agg.speedup", "inner_join.speedup"],
     "BENCH_engine.json": ["speedup", "worker_speedup"],
     "BENCH_engine_process.json": ["speedup", "worker_speedup"],
-    "BENCH_scenario_sweep.json": ["speedup"],
+    "BENCH_scenario_sweep.json": ["speedup", "block_speedup"],
     "BENCH_delta_kernel.json": ["sensitivity_speedup", "goal_inversion_speedup"],
 }
 

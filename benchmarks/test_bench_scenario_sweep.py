@@ -4,12 +4,21 @@ The sweep planner's claim is that discovering options over a whole scenario
 grid should not cost one sensitivity analysis per scenario.  This benchmark
 drives :func:`repro.scenarios.bench.run_sweep_benchmark`: a three-axis
 percentage grid (12×11×10 = 1 320 scenarios) over the deal-closing drivers,
-scored once through the box-propagating grid kernel
+scored once through the grid kernel
 (:mod:`repro.scenarios.kernel`) and once as the seed-style Python loop of
 per-scenario full forest traversals (what each
 :func:`~repro.core.sensitivity.run_sensitivity` call cost before delta
 evaluation).  Today's delta-evaluated ``run_sensitivity`` loop is timed too
 and reported as ``sensitivity_speedup``, without a floor.
+
+A second arm times the shape one process-pool worker scores on the
+``sweep_stream`` workload: a 3×3×9 head-axis block over 2 000 rows, through
+the grid kernel and through the same full-traversal loop, alternating
+:data:`BLOCK_REPEATS` times.  Its axes are the use case's first three
+drivers, which move ~84% of the ``(tree, row)`` pairs, so the block is close
+to the grid kernel's worst case.  The median ratio is reported as
+``block_speedup`` and gated by the bench-regression check against the
+committed baseline.
 
 Two properties are pinned:
 
@@ -32,7 +41,7 @@ from __future__ import annotations
 import json
 import os
 
-from repro.scenarios.bench import run_sweep_benchmark
+from repro.scenarios.bench import run_block_benchmark, run_sweep_benchmark
 
 from .conftest import print_table
 
@@ -40,10 +49,14 @@ USE_CASE = "deal_closing"
 ROWS = 400
 LEVELS = (12, 11, 10)
 TOP_K = 10
+BLOCK_ROWS = 2000
+BLOCK_LEVELS = (3, 3, 9)
+BLOCK_REPEATS = 3
 
 #: Floor on the batched-vs-looped speedup.  The grid kernel's win comes from
-#: work reduction (one box-propagating traversal per tree for the whole
-#: grid), not thread parallelism, so the floor holds on a single core.
+#: work reduction (only the pairs the grid moves are traversed, once per box
+#: of the level grid), not thread parallelism, so the floor holds on a
+#: single core.
 MIN_SPEEDUP = 5.0
 
 
@@ -52,6 +65,11 @@ def test_sweep_speedup_bitwise_equality_and_artifact():
         use_case=USE_CASE, rows=ROWS, levels=LEVELS, top_k=TOP_K, seed=0
     )
     summary["min_speedup_enforced"] = MIN_SPEEDUP
+    summary.update(
+        run_block_benchmark(
+            use_case=USE_CASE, rows=BLOCK_ROWS, levels=BLOCK_LEVELS, repeats=BLOCK_REPEATS
+        )
+    )
 
     print_table(
         "Scenario sweep: grid kernel vs per-scenario sensitivity loop",
@@ -66,6 +84,18 @@ def test_sweep_speedup_bitwise_equality_and_artifact():
                 "sensitivity_speedup": round(summary["sensitivity_speedup"], 2),
                 "grid_kernel": summary["grid_kernel"],
                 "bitwise": summary["bitwise_equal"],
+            }
+        ],
+    )
+    print_table(
+        "Worker-sized block: grid kernel vs full-traversal loop",
+        [
+            {
+                "rows": summary["block_rows"],
+                "levels": "x".join(map(str, summary["block_levels"])),
+                "loop_s": round(summary["block_loop_s"], 3),
+                "kernel_s": round(summary["block_kernel_s"], 3),
+                "block_speedup": round(summary["block_speedup"], 2),
             }
         ],
     )

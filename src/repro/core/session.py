@@ -94,6 +94,7 @@ class WhatIfSession:
         self._random_state = random_state
         self._model_cache = model_cache if model_cache is not None else ModelCache(max_size=8)
         self._manager: ModelManager | None = None
+        self._model_key: str | None = None
         self.scenarios = ScenarioManager()
 
     # ------------------------------------------------------------------ #
@@ -203,18 +204,22 @@ class WhatIfSession:
         The same digest :attr:`model` uses to look up the trained estimator
         in the cache; the async engine keys request coalescing on it so two
         identical submissions share one execution only while the session's
-        dataset/KPI/driver configuration is unchanged.
+        dataset/KPI/driver configuration is unchanged.  Memoised: every
+        configuration change goes through :meth:`_invalidate_model`.
         """
-        return model_fingerprint(
-            self._frame,
-            self._kpi,
-            self._drivers,
-            self._model_params,
-            self._random_state,
-        )
+        if self._model_key is None:
+            self._model_key = model_fingerprint(
+                self._frame,
+                self._kpi,
+                self._drivers,
+                self._model_params,
+                self._random_state,
+            )
+        return self._model_key
 
     def _invalidate_model(self) -> None:
         self._manager = None
+        self._model_key = None
 
     def set_kpi(self, kpi: str | KPI) -> "WhatIfSession":
         """Change the KPI (view C); retrains on next analysis."""

@@ -146,7 +146,7 @@ def _unit_sweep_grid_block(
         ]
     )
     kpis = grid_sweep_kpis(manager, sub_space, checkpoint=checkpoint)
-    if kpis is None:  # pragma: no cover - interval-violation fallback
+    if kpis is None:  # interval-violation fallback
         return _unit_sweep_slice(
             manager,
             {"space": sub_space.to_dict(), "start": 0, "stop": sub_space.size},

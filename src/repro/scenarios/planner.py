@@ -301,8 +301,9 @@ class SweepPlanner:
         """Score every scenario in batched matrix form.
 
         Exhaustive grid spaces on kernel-compiled forests go through the
-        grid kernel — one box-propagating traversal per tree for the whole
-        space (see :mod:`repro.scenarios.kernel`).  Everything else falls
+        grid kernel, which traverses only the ``(tree, row)`` pairs the
+        space moves out of their baseline leaf, once per box of the level
+        grid (see :mod:`repro.scenarios.kernel`).  Everything else falls
         back to stacked ``predict_kpi_batch`` chunks.  Both paths regroup
         work without moving a single bit of any KPI value, so results are
         identical to the per-scenario sensitivity path either way.

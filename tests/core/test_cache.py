@@ -228,3 +228,59 @@ class TestSessionCacheIntegration:
         first.sensitivity({"Open Marketing Email": 40.0})
         second.sensitivity({"Open Marketing Email": 40.0})
         assert len(fits) == 2
+
+
+class TestSessionModelKey:
+    """``WhatIfSession.model_key`` is memoised until the configuration changes."""
+
+    def test_job_submits_hash_the_frame_once(self, monkeypatch):
+        import repro.core.cache as cache_module
+        from repro.server import SystemDServer
+
+        hashes = []
+        original = cache_module.frame_fingerprint
+
+        def counting(frame):
+            hashes.append(1)
+            return original(frame)
+
+        monkeypatch.setattr(cache_module, "frame_fingerprint", counting)
+        server = SystemDServer(engine_workers=1)
+        try:
+            loaded = server.request(
+                "load_use_case", use_case="deal_closing", dataset_kwargs={"n_prospects": 80}
+            )
+            assert loaded.ok, loaded.error
+            for amount in range(5):
+                submitted = server.request(
+                    "submit",
+                    {"action": "sensitivity", "params": {"perturbations": {"Call": 10.0 * amount}}},
+                )
+                assert submitted.ok, submitted.error
+                job_id = submitted.data["job"]["job_id"]
+                assert server.request("job_result", job_id=job_id, timeout_s=60).ok
+        finally:
+            server.close()
+        assert len(hashes) == 1
+
+    def test_every_mutation_changes_the_key(self, frame):
+        frame = frame.with_column(name="won", values=[0.0, 1.0, 0.0, 1.0, 1.0, 0.0])
+        session = WhatIfSession(frame, "revenue", drivers=["spend", "calls"])
+
+        def fresh_key() -> str:
+            return model_fingerprint(
+                session.frame, session.kpi, session.drivers, {}, 0
+            )
+
+        keys = [session.model_key()]
+        assert session.model_key() is keys[0]  # memoised, not recomputed
+        for mutate in (
+            lambda: session.set_kpi("won"),
+            lambda: session.select_drivers(["spend", "calls", "revenue"]),
+            lambda: session.exclude_drivers(["calls"]),
+            lambda: session.add_formula_driver("double", "spend * 2"),
+        ):
+            mutate()
+            assert session.model_key() == fresh_key()
+            assert session.model_key() not in keys
+            keys.append(session.model_key())
